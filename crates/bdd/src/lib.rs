@@ -21,9 +21,11 @@
 //!
 //! * **complement edges** — negation is an O(1) bit flip, `f` and `¬f`
 //!   share every node, and there is a single terminal;
-//! * a **bounded computed table** for `apply`/`restrict` results,
-//!   evicted least-recently-used, so a long-lived manager's memoisation
-//!   state cannot grow without bound;
+//! * a **direct-mapped computed table** for `apply`/`restrict` results:
+//!   one 16-byte slot per hash, overwritten on collision, sized to the
+//!   power of two above the node count (capped at 2^20 slots), so a
+//!   lookup costs one probe and a long-lived manager's memoisation state
+//!   cannot grow without bound;
 //! * **external reference counts** plus **mark-sweep garbage
 //!   collection** ([`BddManager::collect`]) with dense renumbering and a
 //!   [`BddRemap`] for handle holders, mirroring
@@ -36,9 +38,8 @@
 //!   following `Arena::collect`'s [`NodeRemap`] so warm diagrams survive
 //!   formula-graph GC.
 
-use qb_formula::{Arena, Node, NodeId as FormulaId, NodeRemap, Var};
+use qb_formula::{Arena, FxHashMap, FxHashSet, Node, NodeId as FormulaId, NodeRemap, Var};
 use qb_sat::CancelToken;
-use std::collections::HashMap;
 
 /// Error raised when a construction would exceed the manager's node
 /// budget. Callers treat it as "backend inapplicable" (the auto
@@ -178,61 +179,120 @@ pub enum BddOp {
 }
 
 /// Computed-table operation tags (`restrict` reuses the table with the
-/// variable/value packed into the second operand slot).
-const OP_AND: u8 = 0;
-const OP_XOR: u8 = 1;
-const OP_RESTRICT0: u8 = 2;
-const OP_RESTRICT1: u8 = 3;
+/// variable packed into the second operand slot). Tag 0 marks an empty
+/// slot, so a fresh table is all zero bytes.
+const OP_AND: u32 = 1;
+const OP_XOR: u32 = 2;
+const OP_RESTRICT0: u32 = 3;
+const OP_RESTRICT1: u32 = 4;
 
-/// A bounded, LRU-evicted memo table for `apply`/`restrict` results.
-/// Keys hold raw edge words, so the table must be cleared (not remapped)
-/// across [`BddManager::collect`].
-#[derive(Debug, Clone)]
-struct ComputedTable {
-    map: HashMap<(u8, u32, u32), CacheSlot>,
-    clock: u64,
-    cap: usize,
-    evictions: u64,
+/// Slot count of a fresh computed table.
+const COMPUTED_TABLE_MIN_SLOTS: usize = 1 << 12;
+
+/// Default cap on computed-table slots (16 MB of 16-byte slots).
+const COMPUTED_TABLE_CAPACITY: usize = 1 << 20;
+
+/// One computed-table entry: the key `(op, a, b)` and the result edge.
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheSlot {
+    op: u32,
+    a: u32,
+    b: u32,
+    result: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
-    result: BddRef,
-    last_used: u64,
+/// A lossy, direct-mapped memo of `apply`/`restrict` results. Each key
+/// hashes to exactly one slot and a colliding insert overwrites it, so a
+/// lookup is one probe with no bookkeeping, and a lost entry costs only
+/// its recomputation. The slot count is the power of two above the
+/// manager's node count, between [`COMPUTED_TABLE_MIN_SLOTS`] and `cap`;
+/// growing re-allocates (and so clears) the table. Keys hold raw edge
+/// words, so the table is cleared, not remapped, across
+/// [`BddManager::collect`].
+#[derive(Debug, Clone)]
+struct ComputedTable {
+    slots: Vec<CacheSlot>,
+    /// `64 - log2(slots.len())`: a hash's top bits index the table.
+    shift: u32,
+    /// Maximum slot count (a power of two).
+    cap: usize,
+    /// Occupied slots overwritten by a different key.
+    overwrites: u64,
 }
 
 impl ComputedTable {
     fn new(cap: usize) -> Self {
-        ComputedTable {
-            map: HashMap::new(),
-            clock: 0,
-            cap: cap.max(16),
-            evictions: 0,
+        let mut table = ComputedTable {
+            slots: Vec::new(),
+            shift: 64,
+            cap: 0,
+            overwrites: 0,
+        };
+        table.set_cap(cap, 0);
+        table
+    }
+
+    /// Bounds the table to `cap` slots, rounded down to a power of two
+    /// (at least 16), and re-sizes it for `nodes`.
+    fn set_cap(&mut self, cap: usize, nodes: usize) {
+        let cap = cap.max(16);
+        self.cap = 1 << (usize::BITS - 1 - cap.leading_zeros());
+        self.fit(nodes);
+    }
+
+    /// Re-allocates the table, empty, at the power of two above `nodes`
+    /// (within the floor and the cap).
+    fn fit(&mut self, nodes: usize) {
+        let len = nodes
+            .next_power_of_two()
+            .max(COMPUTED_TABLE_MIN_SLOTS)
+            .min(self.cap);
+        self.slots = vec![CacheSlot::default(); len];
+        self.shift = 64 - len.trailing_zeros();
+    }
+
+    /// Grows the table once the manager holds more nodes than it has
+    /// slots, until the cap.
+    #[inline]
+    fn grow_for(&mut self, nodes: usize) {
+        if nodes > self.slots.len() && self.slots.len() < self.cap {
+            self.fit(nodes);
         }
     }
 
-    fn get(&mut self, key: (u8, u32, u32)) -> Option<BddRef> {
-        self.clock += 1;
-        let slot = self.map.get_mut(&key)?;
-        slot.last_used = self.clock;
-        Some(slot.result)
+    /// Fibonacci hashing of the packed key: the product's top bits
+    /// depend on every key bit. The op tag lands in the top three bits.
+    #[inline]
+    fn index(&self, op: u32, a: u32, b: u32) -> usize {
+        let key = (u64::from(a) << 32 | u64::from(b)) ^ u64::from(op).rotate_right(3);
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    fn insert(&mut self, key: (u8, u32, u32), result: BddRef) {
-        self.clock += 1;
-        self.map.insert(
-            key,
-            CacheSlot {
-                result,
-                last_used: self.clock,
-            },
-        );
-        self.evictions +=
-            qb_formula::lru_evict_batch(&mut self.map, self.cap, |s| s.last_used, |_, _| {});
+    #[inline]
+    fn get(&self, op: u32, a: u32, b: u32) -> Option<BddRef> {
+        let slot = self.slots[self.index(op, a, b)];
+        (slot.op == op && slot.a == a && slot.b == b).then_some(BddRef(slot.result))
     }
 
-    fn clear(&mut self) {
-        self.map.clear();
+    #[inline]
+    fn insert(&mut self, op: u32, a: u32, b: u32, result: BddRef) {
+        let i = self.index(op, a, b);
+        let slot = &mut self.slots[i];
+        if slot.op != 0 && (slot.op, slot.a, slot.b) != (op, a, b) {
+            self.overwrites += 1;
+        }
+        *slot = CacheSlot {
+            op,
+            a,
+            b,
+            result: result.0,
+        };
+    }
+
+    /// Occupied slots.
+    #[cfg(test)]
+    fn occupied(&self) -> usize {
+        self.slots.iter().filter(|s| s.op != 0).count()
     }
 }
 
@@ -289,7 +349,7 @@ impl BddRemap {
 #[derive(Debug, Clone)]
 pub struct BddManager {
     nodes: Vec<BddNode>,
-    unique: HashMap<(Var, BddRef, BddRef), u32>,
+    unique: FxHashMap<(Var, BddRef, BddRef), u32>,
     cache: ComputedTable,
     /// External reference counts by node index (GC roots).
     refs: Vec<u32>,
@@ -304,9 +364,6 @@ impl Default for BddManager {
         BddManager::new()
     }
 }
-
-/// Default bound on memoised apply/restrict results.
-const COMPUTED_TABLE_CAPACITY: usize = 1 << 16;
 
 impl BddManager {
     /// Creates an unbudgeted manager containing only the terminal.
@@ -324,7 +381,7 @@ impl BddManager {
                 lo: BddRef::TRUE,
                 hi: BddRef::TRUE,
             }],
-            unique: HashMap::new(),
+            unique: FxHashMap::default(),
             cache: ComputedTable::new(COMPUTED_TABLE_CAPACITY),
             refs: vec![0],
             node_budget: node_budget.max(2),
@@ -355,9 +412,10 @@ impl BddManager {
         self.node_budget = node_budget.max(2);
     }
 
-    /// Bounds the computed table to `cap` memoised results.
+    /// Bounds the computed table to `cap` slots (rounded down to a
+    /// power of two, at least 16). The table is re-allocated, empty.
     pub fn set_computed_table_capacity(&mut self, cap: usize) {
-        self.cache.cap = cap.max(16);
+        self.cache.set_cap(cap, self.nodes.len());
     }
 
     /// Mark-sweep collections performed over the manager's lifetime.
@@ -370,9 +428,9 @@ impl BddManager {
         self.nodes_collected
     }
 
-    /// Computed-table entries dropped by LRU eviction.
+    /// Computed-table entries overwritten by a colliding insert.
     pub fn computed_evictions(&self) -> u64 {
-        self.cache.evictions
+        self.cache.overwrites
     }
 
     /// Apply steps (including recursive cofactor expansions) performed
@@ -418,6 +476,7 @@ impl BddManager {
         self.nodes.push(BddNode { var, lo, hi });
         self.refs.push(0);
         self.unique.insert((var, lo, hi), idx);
+        self.cache.grow_for(self.nodes.len());
         Ok(BddRef::new(idx, out))
     }
 
@@ -493,8 +552,7 @@ impl BddManager {
         }
         // Normalise commutative operands for better cache hits.
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let key = (OP_AND, a.0, b.0);
-        if let Some(r) = self.cache.get(key) {
+        if let Some(r) = self.cache.get(OP_AND, a.0, b.0) {
             return Ok(r);
         }
         let top = self.var_of(a).min(self.var_of(b));
@@ -503,7 +561,7 @@ impl BddManager {
         let lo = self.and(alo, blo)?;
         let hi = self.and(ahi, bhi)?;
         let r = self.mk(top, lo, hi)?;
-        self.cache.insert(key, r);
+        self.cache.insert(OP_AND, a.0, b.0, r);
         Ok(r)
     }
 
@@ -529,8 +587,7 @@ impl BddManager {
             return Ok(a.complement().complement_if(parity));
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let key = (OP_XOR, a.0, b.0);
-        if let Some(r) = self.cache.get(key) {
+        if let Some(r) = self.cache.get(OP_XOR, a.0, b.0) {
             return Ok(r.complement_if(parity));
         }
         let top = self.var_of(a).min(self.var_of(b));
@@ -539,7 +596,7 @@ impl BddManager {
         let lo = self.xor(alo, blo)?;
         let hi = self.xor(ahi, bhi)?;
         let r = self.mk(top, lo, hi)?;
-        self.cache.insert(key, r);
+        self.cache.insert(OP_XOR, a.0, b.0, r);
         Ok(r.complement_if(parity))
     }
 
@@ -564,14 +621,14 @@ impl BddManager {
             return Ok(child.complement_if(parity));
         }
         let op = if val { OP_RESTRICT1 } else { OP_RESTRICT0 };
-        let key = (op, x.regular().0, v);
-        if let Some(r) = self.cache.get(key) {
+        let key = x.regular().0;
+        if let Some(r) = self.cache.get(op, key, v) {
             return Ok(r.complement_if(parity));
         }
         let lo = self.restrict(node.lo, v, val)?;
         let hi = self.restrict(node.hi, v, val)?;
         let r = self.mk(node.var, lo, hi)?;
-        self.cache.insert(key, r);
+        self.cache.insert(op, key, v, r);
         Ok(r.complement_if(parity))
     }
 
@@ -579,9 +636,9 @@ impl BddManager {
     /// node reachable from `x`). Complement bits are irrelevant.
     pub fn depends_on(&self, x: BddRef, v: Var) -> bool {
         let mut stack = vec![x.index()];
-        let mut seen: HashMap<usize, ()> = HashMap::new();
+        let mut seen: FxHashSet<usize> = FxHashSet::default();
         while let Some(idx) = stack.pop() {
-            if idx == 0 || seen.insert(idx, ()).is_some() {
+            if idx == 0 || !seen.insert(idx) {
                 continue;
             }
             let node = &self.nodes[idx];
@@ -600,9 +657,9 @@ impl BddManager {
     pub fn support(&self, x: BddRef) -> Vec<Var> {
         let mut vars = Vec::new();
         let mut stack = vec![x.index()];
-        let mut seen: HashMap<usize, ()> = HashMap::new();
+        let mut seen: FxHashSet<usize> = FxHashSet::default();
         while let Some(idx) = stack.pop() {
-            if idx == 0 || seen.insert(idx, ()).is_some() {
+            if idx == 0 || !seen.insert(idx) {
                 continue;
             }
             let node = &self.nodes[idx];
@@ -674,9 +731,9 @@ impl BddManager {
     pub fn size(&self, x: BddRef) -> usize {
         let mut count = 0;
         let mut stack = vec![x.index()];
-        let mut seen: HashMap<usize, ()> = HashMap::new();
+        let mut seen: FxHashSet<usize> = FxHashSet::default();
         while let Some(idx) = stack.pop() {
-            if seen.insert(idx, ()).is_some() {
+            if !seen.insert(idx) {
                 continue;
             }
             count += 1;
@@ -710,7 +767,8 @@ impl BddManager {
     /// Mark-sweep garbage collection: keeps the terminal and every node
     /// reachable from an externally referenced node, renumbers survivors
     /// densely (children keep smaller indices than parents), rebuilds
-    /// the unique table and clears the computed table.
+    /// the unique table and re-allocates the computed table, empty, at
+    /// the size that fits the survivors.
     ///
     /// Every [`BddRef`] issued before the call is invalidated; holders
     /// must translate through the returned [`BddRemap`].
@@ -764,7 +822,7 @@ impl BddManager {
         let live = kept.len();
         self.nodes = kept;
         self.refs = kept_refs;
-        self.cache.clear();
+        self.cache.fit(live);
         self.collections += 1;
         self.nodes_collected += (n - live) as u64;
         BddRemap { map, live }
@@ -834,7 +892,7 @@ const BDD_GC_GROWTH: usize = 2;
 #[derive(Debug, Clone)]
 pub struct BddSession {
     manager: BddManager,
-    cache: HashMap<FormulaId, TransEntry>,
+    cache: FxHashMap<FormulaId, TransEntry>,
     clock: u64,
     cache_cap: usize,
     hits: u64,
@@ -852,7 +910,7 @@ impl BddSession {
     pub fn new(node_budget: usize) -> Self {
         BddSession {
             manager: BddManager::with_budget(node_budget),
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             clock: 0,
             cache_cap: TRANSLATION_CACHE_CAPACITY,
             hits: 0,
@@ -930,15 +988,15 @@ impl BddSession {
         let _span = qb_obs::span("bdd.build", "");
         let (hits0, misses0, applies0) = (self.hits, self.misses, self.manager.applies());
         // Frontier traversal: descend only into nodes without a memoised
-        // translation.
-        let mut visited = vec![false; arena.len()];
+        // translation. The visited set is sized by that frontier, not by
+        // the arena, so a warm root costs O(1).
+        let mut visited: FxHashSet<FormulaId> = FxHashSet::default();
         let mut need: Vec<FormulaId> = Vec::new();
         let mut stack: Vec<FormulaId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if visited[id.index()] {
+            if !visited.insert(id) {
                 continue;
             }
-            visited[id.index()] = true;
             if let Some(entry) = self.cache.get_mut(&id) {
                 self.clock += 1;
                 entry.last_used = self.clock;
@@ -1111,6 +1169,8 @@ impl BddSession {
 mod tests {
     use super::*;
     use qb_formula::Simplify;
+    use qb_testutil::Rng;
+    use std::collections::HashMap;
 
     #[test]
     fn canonicity_of_terminals() {
@@ -1485,8 +1545,160 @@ mod tests {
                 m.xor(vars[i], vars[j]).unwrap();
             }
         }
-        assert!(m.cache.map.len() <= 64);
+        assert!(m.cache.slots.len() <= 64);
+        assert!(m.cache.occupied() <= 64);
         assert!(m.computed_evictions() > 0);
+    }
+
+    /// Truth table of a function over [`TT_VARS`] variables, one bit per
+    /// assignment (assignment `i` sets variable `v` to bit `v` of `i`).
+    type TruthTable = [u64; 1 << TT_VARS >> 6];
+    const TT_VARS: u32 = 10;
+
+    fn env_of(i: usize) -> Vec<bool> {
+        (0..TT_VARS).map(|v| i >> v & 1 == 1).collect()
+    }
+
+    fn tt_bit(t: &TruthTable, i: usize) -> bool {
+        t[i >> 6] >> (i & 63) & 1 == 1
+    }
+
+    fn tt_from(f: impl Fn(usize) -> bool) -> TruthTable {
+        let mut t = [0u64; 1 << TT_VARS >> 6];
+        for i in 0..1usize << TT_VARS {
+            t[i >> 6] |= (f(i) as u64) << (i & 63);
+        }
+        t
+    }
+
+    #[test]
+    fn colliding_table_keeps_results_exact() {
+        // A 16-slot table collides constantly; every random And / Or /
+        // Xor / restrict result must still match its truth table, and
+        // the manager under the default capacity, on every assignment.
+        let mut rng = Rng::new(0xBDD0);
+        let mut tiny = BddManager::new();
+        tiny.set_computed_table_capacity(16);
+        let mut wide = BddManager::new();
+        let mut pool: Vec<(BddRef, BddRef, TruthTable)> = (0..TT_VARS)
+            .map(|v| {
+                let t = tt_from(|i| i >> v & 1 == 1);
+                (tiny.var(v).unwrap(), wide.var(v).unwrap(), t)
+            })
+            .collect();
+        for _ in 0..400 {
+            let (a0, a1, at) = pool[rng.gen_below(pool.len())];
+            let (b0, b1, bt) = pool[rng.gen_below(pool.len())];
+            let next = match rng.gen_below(4) {
+                0 => (
+                    tiny.and(a0, b0).unwrap(),
+                    wide.and(a1, b1).unwrap(),
+                    tt_from(|i| tt_bit(&at, i) & tt_bit(&bt, i)),
+                ),
+                1 => (
+                    tiny.apply(BddOp::Or, a0, b0.complement()).unwrap(),
+                    wide.apply(BddOp::Or, a1, b1.complement()).unwrap(),
+                    tt_from(|i| tt_bit(&at, i) | !tt_bit(&bt, i)),
+                ),
+                2 => (
+                    tiny.xor(a0, b0).unwrap(),
+                    wide.xor(a1, b1).unwrap(),
+                    tt_from(|i| tt_bit(&at, i) ^ tt_bit(&bt, i)),
+                ),
+                _ => {
+                    let v = rng.gen_below(TT_VARS as usize) as Var;
+                    let val = rng.gen_bool();
+                    let fixed = |i: usize| if val { i | 1 << v } else { i & !(1 << v) };
+                    (
+                        tiny.restrict(a0, v, val).unwrap(),
+                        wide.restrict(a1, v, val).unwrap(),
+                        tt_from(|i| tt_bit(&at, fixed(i))),
+                    )
+                }
+            };
+            pool.push(next);
+        }
+        assert!(tiny.computed_evictions() > 0, "the tiny table collided");
+        assert!(tiny.cache.slots.len() <= 16);
+        for (f0, f1, t) in &pool {
+            for i in 0..1usize << TT_VARS {
+                let env = env_of(i);
+                assert_eq!(tiny.eval(*f0, &env), tt_bit(t, i));
+                assert_eq!(wide.eval(*f1, &env), tt_bit(t, i));
+            }
+        }
+        // Canonicity survives the collisions: equal functions are equal
+        // edges, so refs with equal truth tables coincide.
+        let mut seen: HashMap<TruthTable, BddRef> = HashMap::new();
+        for (f0, _, t) in &pool {
+            assert_eq!(*seen.entry(*t).or_insert(*f0), *f0);
+        }
+    }
+
+    #[test]
+    fn slot_count_follows_nodes_up_to_the_cap() {
+        let mut m = BddManager::new();
+        assert_eq!(m.cache.slots.len(), COMPUTED_TABLE_MIN_SLOTS);
+        m.set_computed_table_capacity(1 << 13);
+        // ⋀ᵢ (xᵢ ⊕ yᵢ) under the order x0..xn, y0..yn has exponentially
+        // many nodes: enough to outgrow the floor and reach the cap.
+        let n = 14;
+        let mut acc = BddRef::TRUE;
+        for i in 0..n {
+            let x = m.var(i).unwrap();
+            let y = m.var(n + i).unwrap();
+            let d = m.xor(x, y).unwrap();
+            acc = m.and(acc, d).unwrap();
+            let fit = m.len().next_power_of_two().max(COMPUTED_TABLE_MIN_SLOTS);
+            assert_eq!(m.cache.slots.len(), fit.min(1 << 13), "{} nodes", m.len());
+        }
+        assert!(m.len() > 1 << 13, "the diagram outgrew the cap");
+        // A capacity that is no power of two rounds down.
+        m.set_computed_table_capacity(100);
+        assert_eq!(m.cache.slots.len(), 64);
+        // Thousands of fresh nodes (z below every variable) never grow a
+        // table past its cap.
+        let before = m.len();
+        let z = m.var(2 * n).unwrap();
+        m.and(acc, z).unwrap();
+        assert!(m.len() > before + 1000);
+        assert_eq!(m.cache.slots.len(), 64);
+    }
+
+    #[test]
+    fn collection_empties_the_table_and_refs_stay_canonical() {
+        let mut m = BddManager::new();
+        let vars: Vec<BddRef> = (0..8).map(|v| m.var(v).unwrap()).collect();
+        let mut keep = BddRef::FALSE;
+        for pair in vars.chunks(2) {
+            let t = m.and(pair[0], pair[1]).unwrap();
+            keep = m.xor(keep, t).unwrap();
+        }
+        let junk = m.and(vars[0], vars[7].complement()).unwrap();
+        m.and(junk, vars[3]).unwrap();
+        assert!(m.cache.occupied() > 0);
+        m.ref_inc(keep);
+        let remap = m.collect();
+        assert_eq!(m.cache.occupied(), 0, "collection clears the table");
+        let keep = remap.remap(keep).unwrap();
+        // Rebuilding the same function after the collection yields the
+        // same edge, through a cold table.
+        let mut again = BddRef::FALSE;
+        for p in (0..8).step_by(2) {
+            let x = m.var(p).unwrap();
+            let y = m.var(p + 1).unwrap();
+            let t = m.and(x, y).unwrap();
+            again = m.xor(again, t).unwrap();
+        }
+        assert_eq!(again, keep);
+        // Restrict, memoised in the same table, agrees with evaluation.
+        let r = m.restrict(keep, 0, true).unwrap();
+        for i in 0..256usize {
+            let env: Vec<bool> = (0..8).map(|v| i >> v & 1 == 1).collect();
+            let mut on = env.clone();
+            on[0] = true;
+            assert_eq!(m.eval(r, &env), m.eval(keep, &on));
+        }
     }
 
     #[test]

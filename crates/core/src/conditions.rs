@@ -16,8 +16,7 @@
 //! unsafe as a dirty qubit.
 
 use crate::symbolic::SymbolicState;
-use qb_formula::{NodeId, NodeRemap, Var};
-use std::collections::HashMap;
+use qb_formula::{FxHashMap, NodeId, NodeRemap, Var};
 
 /// The two §6.1 conditions, as roots in the state's arena.
 #[derive(Debug, Clone)]
@@ -85,7 +84,7 @@ pub fn build_conditions(state: &mut SymbolicState, q: usize) -> Conditions {
 /// a map lookup.
 #[derive(Debug, Default)]
 pub(crate) struct CofactorMemo {
-    map: HashMap<(NodeId, Var, bool), NodeId>,
+    map: FxHashMap<(NodeId, Var, bool), NodeId>,
     hits: u64,
     misses: u64,
     /// Entries the most recent primed sweep needs resident all at once
@@ -129,29 +128,37 @@ impl CofactorMemo {
     }
 
     /// Batched warm-up for a whole sweep: ensures the cofactor pairs of
-    /// every root in `formulas` under every variable in `vars` are
+    /// every current formula under every variable in `vars` are
     /// memoised, computing all missing cones in **one** shared arena
-    /// traversal ([`qb_formula::Arena::cofactor_batch`]). Cold
-    /// multi-target construction drops from O(k·DAG) to
-    /// O(DAG + Σ cones); warm sweeps skip the traversal entirely.
+    /// traversal ([`qb_formula::Arena::cofactor_batch`]) over only the
+    /// formulas and variables that lack entries. Cold multi-target
+    /// construction drops from O(k·DAG) to O(DAG + Σ cones); after an
+    /// edit only the changed formulas' cones are walked, and warm sweeps
+    /// skip the traversal entirely.
     pub(crate) fn prime(&mut self, state: &mut SymbolicState, vars: &[Var]) {
-        let formulas = state.formulas.clone();
+        let formulas = &state.formulas;
         self.sweep_floor = 2 * vars.len() * formulas.len();
+        let lacks = |f: NodeId, v: Var| {
+            !self.map.contains_key(&(f, v, false)) || !self.map.contains_key(&(f, v, true))
+        };
+        let mut roots: Vec<NodeId> = formulas
+            .iter()
+            .copied()
+            .filter(|&f| vars.iter().any(|&v| lacks(f, v)))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
         let missing: Vec<Var> = vars
             .iter()
             .copied()
-            .filter(|&v| {
-                formulas.iter().any(|&f| {
-                    !self.map.contains_key(&(f, v, false)) || !self.map.contains_key(&(f, v, true))
-                })
-            })
+            .filter(|&v| roots.iter().any(|&f| lacks(f, v)))
             .collect();
         if missing.is_empty() {
             return;
         }
-        let pairs = state.arena.cofactor_batch(&formulas, &missing);
+        let pairs = state.arena.cofactor_batch(&roots, &missing);
         for (vi, &var) in missing.iter().enumerate() {
-            for (ri, &f) in formulas.iter().enumerate() {
+            for (ri, &f) in roots.iter().enumerate() {
                 let (c0, c1) = pairs[vi][ri];
                 if self.map.insert((f, var, false), c0).is_none() {
                     self.misses += 1;

@@ -37,7 +37,7 @@ use crate::verifier::{
 };
 use qb_bdd::{BddBuildError, BddSession};
 use qb_circuit::{Circuit, Gate};
-use qb_formula::{Anf, AnfCache, CnfSink, IncrementalEncoder, NodeId, Var};
+use qb_formula::{Anf, AnfBuildError, AnfCache, CnfSink, IncrementalEncoder, NodeId, Var};
 use qb_lang::{gate_common_prefix, ElaboratedProgram, QubitKind};
 use qb_obs::Histogram;
 use qb_sat::{CancelToken, CdclSolver, Lit, SatResult, SatVar, Solver};
@@ -1073,10 +1073,17 @@ impl<S: CdclSolver> GenericVerifySession<S> {
         let t0 = Instant::now();
         let cache = self.anf.as_mut().expect("ANF backend state");
         let cap = self.opts.backend_options.anf_cap;
-        let polys = Anf::from_arena_cached(&self.state.arena, &[root], cap, cache);
+        let cancel = self.cancel.as_ref();
+        let should_stop = || cancel.is_some_and(|t| t.should_stop(0, 0));
+        let polys = Anf::from_arena_cached(&self.state.arena, &[root], cap, cache, &should_stop);
         self.anf_time += t0.elapsed();
         let poly = polys
-            .map_err(|e| VerifyError::Backend(BackendError::AnfOverflow { cap: e.cap }))?
+            .map_err(|e| match e {
+                AnfBuildError::Overflow(o) => {
+                    VerifyError::Backend(BackendError::AnfOverflow { cap: o.cap })
+                }
+                AnfBuildError::Interrupted => VerifyError::Interrupted,
+            })?
             .remove(0);
         Ok(Decision {
             unsat: poly.is_zero(),
@@ -1463,7 +1470,8 @@ impl<S: CdclSolver> GenericVerifySession<S> {
     }
 
     /// Installs `token` into every live backend (and remembers it for
-    /// between-target checks), or removes it with `None`.
+    /// between-target checks and the ANF backend's polls), or removes it
+    /// with `None`.
     fn install_cancel_token(&mut self, token: Option<CancelToken>) {
         if let Some(sat) = &mut self.sat {
             sat.solver.set_cancel_token(token.clone());
@@ -1758,6 +1766,60 @@ mod tests {
                 assert!(!b.verdict.is_unknown());
             }
             assert_eq!(session.stats().interrupts, 0, "backend {backend}");
+        }
+    }
+
+    #[test]
+    fn deadline_bounds_anf_sweep_and_session_stays_usable() {
+        // ANF on the 50-bit adder runs for tens of seconds before its
+        // term cap overflows; under a deadline it must answer `unknown`
+        // promptly instead. A CCCNOT on five extra qubits gives targets
+        // ANF decides in microseconds, to show the session still works
+        // after the interrupted sweep.
+        let program =
+            qb_lang::elaborate(&qb_lang::parse(&qb_lang::adder_source(50)).unwrap()).unwrap();
+        let n = program.num_qubits();
+        let identity: Vec<usize> = (0..n).collect();
+        let mut c = program.circuit.remap_qubits(&identity, n + 5).unwrap();
+        c.toffoli(n, n + 1, n + 2)
+            .toffoli(n + 2, n + 3, n + 4)
+            .toffoli(n, n + 1, n + 2)
+            .toffoli(n + 2, n + 3, n + 4);
+        let initial: Vec<InitialValue> = (0..n + 5)
+            .map(|q| match program.qubit_kinds.get(q) {
+                Some(QubitKind::Clean) => InitialValue::Zero,
+                _ => InitialValue::Free,
+            })
+            .collect();
+        let adder_targets = program.qubits_to_verify();
+        let ccc_targets: Vec<usize> = (n..n + 5).collect();
+        let opts = VerifyOptions {
+            backend: BackendKind::Anf,
+            ..VerifyOptions::default()
+        };
+        let mut session = VerifySession::new(&c, &initial, &opts).unwrap();
+        let clock = Instant::now();
+        let bounded = session
+            .verify_targets_limited(
+                &adder_targets,
+                &VerifyLimits::deadline(Duration::from_millis(300)),
+            )
+            .unwrap();
+        let elapsed = clock.elapsed();
+        assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+        let deadline = Verdict::Unknown {
+            reason: "deadline".into(),
+        };
+        assert!(bounded.iter().any(|v| v.verdict == deadline));
+        assert!(bounded.iter().all(|v| v.verdict == deadline || v.safe));
+        assert!(session.stats().interrupts > 0);
+        // The same session, unlimited, decides the CCCNOT's targets as
+        // the fresh oracle does.
+        let fresh = verify_circuit_fresh(&c, &initial, &ccc_targets, &opts).unwrap();
+        let rerun = session.verify_targets(&ccc_targets).unwrap();
+        for (r, f) in rerun.iter().zip(&fresh.verdicts) {
+            assert_eq!(r.verdict, f.verdict);
+            assert!(!r.verdict.is_unknown());
         }
     }
 

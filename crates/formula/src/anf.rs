@@ -12,6 +12,7 @@
 //! [`AnfOverflow`]; callers treat that as "backend inapplicable".
 
 use crate::arena::{Arena, Node, NodeId, NodeRemap, Var};
+use crate::fx::FxHashSet;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -121,6 +122,39 @@ impl fmt::Display for AnfOverflow {
 }
 
 impl std::error::Error for AnfOverflow {}
+
+/// Error raised by [`Anf::from_arena_cached`]: either a polynomial
+/// overflowed its term cap, or the caller's stop check fired first.
+/// Polynomials already memoised are exact either way, so the cache stays
+/// usable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AnfBuildError {
+    /// A polynomial exceeded the term cap.
+    Overflow(AnfOverflow),
+    /// The stop check asked the conversion to end before it completed;
+    /// no verdict is implied.
+    Interrupted,
+}
+
+impl fmt::Display for AnfBuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnfBuildError::Overflow(o) => o.fmt(f),
+            AnfBuildError::Interrupted => write!(f, "ANF conversion interrupted by cancellation"),
+        }
+    }
+}
+
+impl std::error::Error for AnfBuildError {}
+
+impl From<AnfOverflow> for AnfBuildError {
+    fn from(o: AnfOverflow) -> Self {
+        AnfBuildError::Overflow(o)
+    }
+}
+
+/// Monomial products between two polls of a conversion's stop check.
+const STOP_POLL_STRIDE: usize = 1 << 10;
 
 /// A polynomial over GF(2) in algebraic normal form.
 ///
@@ -236,17 +270,38 @@ impl Anf {
     /// Returns [`AnfOverflow`] if the intermediate or final term count
     /// exceeds `cap`.
     pub fn mul(&self, other: &Anf, cap: usize) -> Result<Anf, AnfOverflow> {
+        match self.mul_polled(other, cap, &|| false) {
+            Ok(p) => Ok(p),
+            Err(AnfBuildError::Overflow(o)) => Err(o),
+            Err(AnfBuildError::Interrupted) => unreachable!("the stop check never fires"),
+        }
+    }
+
+    /// [`Anf::mul`] that polls `should_stop` every
+    /// [`STOP_POLL_STRIDE`] monomial products, so a product near the
+    /// cap (up to `4 · cap` of them) cannot outlive a deadline.
+    fn mul_polled(
+        &self,
+        other: &Anf,
+        cap: usize,
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Anf, AnfBuildError> {
         if self.terms.len().saturating_mul(other.terms.len()) > 4 * cap.max(1) {
-            return Err(AnfOverflow { cap });
+            return Err(AnfOverflow { cap }.into());
         }
         let mut set: BTreeSet<Monomial> = BTreeSet::new();
+        let mut products = 0usize;
         for a in &self.terms {
             for b in &other.terms {
+                products += 1;
+                if products.is_multiple_of(STOP_POLL_STRIDE) && should_stop() {
+                    return Err(AnfBuildError::Interrupted);
+                }
                 let m = a.mul(b);
                 if !set.remove(&m) {
                     set.insert(m);
                     if set.len() > cap {
-                        return Err(AnfOverflow { cap });
+                        return Err(AnfOverflow { cap }.into());
                     }
                 }
             }
@@ -376,28 +431,32 @@ impl Anf {
     /// bottom-up pass stops descending at cached nodes entirely.
     ///
     /// Results are identical to [`Anf::from_arena`]; only the work
-    /// profile differs.
+    /// profile differs. `should_stop` is polled once per converted node
+    /// and inside long term products (pass `&|| false` for an unbounded
+    /// conversion).
     ///
     /// # Errors
     ///
-    /// Returns [`AnfOverflow`] on blow-up past `cap` terms, exactly as
-    /// the uncached conversion does.
+    /// Returns [`AnfBuildError::Overflow`] on blow-up past `cap` terms,
+    /// exactly as the uncached conversion does, and
+    /// [`AnfBuildError::Interrupted`] once `should_stop` returns `true`.
     pub fn from_arena_cached(
         arena: &Arena,
         roots: &[NodeId],
         cap: usize,
         cache: &mut AnfCache,
-    ) -> Result<Vec<Anf>, AnfOverflow> {
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Vec<Anf>, AnfBuildError> {
         // Frontier traversal: descend only into nodes without a
-        // memoised polynomial, so a warm root costs O(1).
-        let mut visited = vec![false; arena.len()];
+        // memoised polynomial, so a warm root costs O(1). The visited
+        // set is sized by that frontier, not by the arena.
+        let mut visited: FxHashSet<NodeId> = FxHashSet::default();
         let mut need: Vec<NodeId> = Vec::new();
         let mut stack: Vec<NodeId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if visited[id.index()] {
+            if !visited.insert(id) {
                 continue;
             }
-            visited[id.index()] = true;
             if cache.touch(id) {
                 continue;
             }
@@ -426,6 +485,9 @@ impl Anf {
         }
         let mut local: HashMap<NodeId, Anf> = HashMap::new();
         for id in need {
+            if should_stop() {
+                return Err(AnfBuildError::Interrupted);
+            }
             let anf = match arena.node(id) {
                 Node::Const(b) => {
                     if *b {
@@ -438,7 +500,7 @@ impl Anf {
                 Node::And(children) => {
                     let mut acc = Anf::one();
                     for c in children.iter() {
-                        acc = acc.mul(child_poly(*c, &local, cache), cap)?;
+                        acc = acc.mul_polled(child_poly(*c, &local, cache), cap, should_stop)?;
                     }
                     acc
                 }
@@ -448,7 +510,7 @@ impl Anf {
                         acc = acc.xor(child_poly(*c, &local, cache));
                     }
                     if acc.len() > cap {
-                        return Err(AnfOverflow { cap });
+                        return Err(AnfOverflow { cap }.into());
                     }
                     acc
                 }
@@ -767,12 +829,14 @@ mod tests {
             let r1 = f.not(t);
             let r2 = f.or2(x, z);
             let mut cache = AnfCache::new();
-            let cached = Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache).unwrap();
+            let cached =
+                Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache, &|| false).unwrap();
             let plain = Anf::from_arena(&f, &[r1, r2], 1 << 16).unwrap();
             assert_eq!(cached, plain, "mode {mode:?}");
             // Warm re-conversion answers from the cache without fresh work.
             let misses = cache.stats().misses;
-            let again = Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache).unwrap();
+            let again =
+                Anf::from_arena_cached(&f, &[r1, r2], 1 << 16, &mut cache, &|| false).unwrap();
             assert_eq!(again, plain);
             assert_eq!(cache.stats().misses, misses, "no re-conversion");
             assert!(cache.stats().hits >= 2);
@@ -791,8 +855,46 @@ mod tests {
             .collect();
         let root = f.and(&factors);
         let mut cache = AnfCache::new();
-        let err = Anf::from_arena_cached(&f, &[root], 64, &mut cache).unwrap_err();
-        assert_eq!(err.cap, 64);
+        let err = Anf::from_arena_cached(&f, &[root], 64, &mut cache, &|| false).unwrap_err();
+        assert_eq!(err, AnfBuildError::Overflow(AnfOverflow { cap: 64 }));
+    }
+
+    #[test]
+    fn cached_conversion_stops_when_asked_and_cache_stays_exact() {
+        let mut f = Arena::new(Simplify::Raw);
+        let factors: Vec<NodeId> = (0..8)
+            .map(|i| {
+                let a = f.var(2 * i);
+                let b = f.var(2 * i + 1);
+                f.xor2(a, b)
+            })
+            .collect();
+        let root = f.and(&factors);
+        let mut cache = AnfCache::new();
+        // Stop after a few nodes: some polynomials are memoised, the
+        // root is not.
+        let polls = std::cell::Cell::new(0);
+        let stop_late = || {
+            polls.set(polls.get() + 1);
+            polls.get() > 5
+        };
+        let err = Anf::from_arena_cached(&f, &[root], 1 << 16, &mut cache, &stop_late);
+        assert_eq!(err.unwrap_err(), AnfBuildError::Interrupted);
+        assert!(
+            !cache.is_empty(),
+            "nodes converted before the stop stay memoised"
+        );
+        // A product of 2^8 terms by 2 terms polls inside the term loop.
+        let big = Anf::from_arena(&f, &[root], 1 << 16).unwrap().remove(0);
+        let pair = Anf::var(100).xor(&Anf::var(101));
+        let r = big.xor(&big.mul(&Anf::var(99), 1 << 16).unwrap());
+        assert_eq!(
+            r.mul_polled(&pair, 1 << 16, &|| true),
+            Err(AnfBuildError::Interrupted)
+        );
+        // Resumed without a stop check, the conversion is exact.
+        let again = Anf::from_arena_cached(&f, &[root], 1 << 16, &mut cache, &|| false).unwrap();
+        assert_eq!(again[0], big);
     }
 
     #[test]
@@ -806,7 +908,7 @@ mod tests {
         }
         let mut cache = AnfCache::with_capacity(8);
         for r in &roots {
-            Anf::from_arena_cached(&f, &[*r], 1 << 16, &mut cache).unwrap();
+            Anf::from_arena_cached(&f, &[*r], 1 << 16, &mut cache, &|| false).unwrap();
         }
         let stats = cache.stats();
         assert!(stats.cached_polys <= 8, "{stats:?}");
@@ -824,7 +926,7 @@ mod tests {
             .collect();
         let root = wide.and(&factors); // 2^13 terms > admission bound
         let mut cache = AnfCache::new();
-        let polys = Anf::from_arena_cached(&wide, &[root], 1 << 20, &mut cache).unwrap();
+        let polys = Anf::from_arena_cached(&wide, &[root], 1 << 20, &mut cache, &|| false).unwrap();
         assert_eq!(polys[0].len(), 1 << 13);
         assert!(
             cache.peek(root).is_none(),
@@ -845,13 +947,15 @@ mod tests {
             f.and2(z, root)
         };
         let mut cache = AnfCache::new();
-        let before = Anf::from_arena_cached(&f, &[root, dead], 1 << 16, &mut cache).unwrap();
+        let before =
+            Anf::from_arena_cached(&f, &[root, dead], 1 << 16, &mut cache, &|| false).unwrap();
         let remap = f.collect(&[root]);
         let new_root = remap.remap(root).unwrap();
         cache.remap_nodes(&remap);
         assert!(cache.stats().evictions > 0, "dead entries dropped");
         let misses = cache.stats().misses;
-        let after = Anf::from_arena_cached(&f, &[new_root], 1 << 16, &mut cache).unwrap();
+        let after =
+            Anf::from_arena_cached(&f, &[new_root], 1 << 16, &mut cache, &|| false).unwrap();
         assert_eq!(before[0], after[0], "warm polynomial survived the remap");
         assert_eq!(cache.stats().misses, misses, "renumbered root still hits");
     }

@@ -24,7 +24,7 @@
 //!   idempotence and annihilation. Compute/uncompute pairs collapse at
 //!   construction time.
 
-use std::collections::HashMap;
+use crate::fx::FxHashMap;
 use std::fmt;
 
 /// Index of a Boolean input variable (one per qubit in the verifier).
@@ -98,7 +98,7 @@ pub enum Simplify {
 #[derive(Debug, Clone)]
 pub struct Arena {
     nodes: Vec<Node>,
-    interned: HashMap<Node, NodeId>,
+    interned: FxHashMap<Node, NodeId>,
     mode: Simplify,
 }
 
@@ -107,7 +107,7 @@ impl Arena {
     pub fn new(mode: Simplify) -> Self {
         let mut arena = Arena {
             nodes: Vec::new(),
-            interned: HashMap::new(),
+            interned: FxHashMap::default(),
             mode,
         };
         let f = arena.intern(Node::Const(false));
@@ -531,7 +531,8 @@ impl Arena {
         let live = self.reachable(roots);
         let k = vars.len();
         let words = k.div_ceil(64).max(1);
-        let var_slot: HashMap<Var, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let var_slot: FxHashMap<Var, usize> =
+            vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         // Per-node support bitset over `vars`, bottom-up (children precede
         // parents in an append-only arena), plus per-variable cone lists
         // (the nodes that actually depend on that variable, in

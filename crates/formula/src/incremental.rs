@@ -16,6 +16,7 @@
 
 use crate::arena::{Arena, Node, NodeId, NodeRemap, Var};
 use crate::cnf::Cnf;
+use crate::fx::FxHashSet;
 use std::collections::HashMap;
 
 /// A consumer of DIMACS-style clauses with variable allocation.
@@ -328,16 +329,14 @@ impl IncrementalEncoder {
             .filter(|r| self.lits[r.index()] == 0)
             .copied()
             .collect();
-        let mut visiting = vec![false; 0];
-        if !stack.is_empty() {
-            visiting = vec![false; arena.len()];
-        }
+        // The visited set is sized by the frontier, not the arena, so a
+        // root over warm structure costs O(1).
+        let mut visiting: FxHashSet<usize> = FxHashSet::default();
         while let Some(id) = stack.pop() {
             let i = id.index();
-            if visiting[i] || self.lits[i] != 0 {
+            if self.lits[i] != 0 || !visiting.insert(i) {
                 continue;
             }
-            visiting[i] = true;
             pending.push(i);
             match arena.node(id) {
                 Node::And(children) | Node::Xor(children, _) => {

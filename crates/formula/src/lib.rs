@@ -41,12 +41,14 @@
 mod anf;
 mod arena;
 mod cnf;
+mod fx;
 mod incremental;
 mod lru;
 
-pub use anf::{Anf, AnfCache, AnfCacheStats, AnfOverflow, Monomial};
+pub use anf::{Anf, AnfBuildError, AnfCache, AnfCacheStats, AnfOverflow, Monomial};
 pub use arena::{Arena, Node, NodeId, NodeRemap, Simplify, Var};
 pub use cnf::{encode, Cnf, Encoding};
+pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use incremental::{CnfSink, IncrementalEncoder};
 pub use lru::lru_evict_batch;
 

@@ -1,6 +1,6 @@
 //! Shared batch LRU eviction for the stamped memo tables of the
 //! verification sessions (decision cache, ANF polynomial cache, BDD
-//! translation cache, BDD computed table).
+//! translation cache, the daemon's auto-winner table).
 //!
 //! All of them follow the same discipline: entries carry a logical
 //! `last_used` stamp, and once the map outgrows its capacity the
@@ -9,21 +9,22 @@
 //! insertion.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Evicts the least-recently-used entries of `map` down to ¾ of `cap`
 /// (no-op while `map` is within capacity). `stamp_of` reads an entry's
 /// last-used stamp; `on_evict` observes each removed entry (release
 /// references, update side tables). Returns the number evicted, for the
 /// caller's eviction counter.
-pub fn lru_evict_batch<K, V, S, E>(
-    map: &mut HashMap<K, V>,
+pub fn lru_evict_batch<K, V, H, S, E>(
+    map: &mut HashMap<K, V, H>,
     cap: usize,
     stamp_of: S,
     mut on_evict: E,
 ) -> u64
 where
     K: Copy + Ord + Hash,
+    H: BuildHasher,
     S: Fn(&V) -> u64,
     E: FnMut(K, V),
 {

@@ -308,10 +308,15 @@ mod tests {
     #[test]
     fn exited_threads_drain_into_the_pool() {
         let evs = with_tracing(|| {
+            // Join explicitly: the scope's implicit join can return
+            // before the worker's thread-local ring has been dropped into
+            // the pool, while a handle join waits for the thread to exit.
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let _s = span("worker", "w");
-                });
+                })
+                .join()
+                .unwrap();
             });
             take_all_spans()
         });
